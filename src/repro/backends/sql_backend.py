@@ -197,6 +197,18 @@ class SQLBackend(Backend):
         count, mean, std, lo, hi = row
         return Stats(count or 0, mean, std, lo, hi)
 
+    def numeric_extent(self, num_col: str) -> tuple:
+        """``(count, min, max)`` of the numeric values in ``num_col`` — the
+        :meth:`numeric_stats` bounds without its AVG and STDDEV, so the
+        whole aggregate runs on the batch path."""
+        where, params = self._numeric_scope(num_col, None, None)
+        count, lo, hi = self._query(
+            f'SELECT COUNT("{num_col}"), MIN("{num_col}"), MAX("{num_col}") '
+            f'FROM {self.table_name} WHERE {where}',
+            params,
+        ).first()
+        return count or 0, lo, hi
+
     # -- detector capabilities (SQL, per §3.1) -----------------------------------
 
     def missing_row_ids(self, num_col: str, cat_col: Optional[str] = None,

@@ -15,6 +15,9 @@ from repro.errors import ColumnTypeError, LengthMismatchError
 from repro.frame import dtypes
 from repro.frame.parsing import coerce_to_number, parse_number_strict
 
+#: rows converted per ``tolist()`` call when iterating a column
+_ITER_CHUNK = 4096
+
 _FILL = {
     dtypes.INT64: 0,
     dtypes.FLOAT64: float("nan"),
@@ -79,9 +82,18 @@ class Column:
         return _to_python(self._data[position], self.dtype)
 
     def __iter__(self) -> Iterator:
-        data, valid, dtype = self._data, self._valid, self.dtype
-        for i in range(len(data)):
-            yield _to_python(data[i], dtype) if valid[i] else None
+        # ndarray.tolist() converts a chunk to the same Python values (and
+        # types) _to_python gives per cell, at C speed; bounded chunks keep
+        # the transient list small next to the column itself
+        data, valid = self._data, self._valid
+        for start in range(0, len(data), _ITER_CHUNK):
+            values = data[start:start + _ITER_CHUNK].tolist()
+            mask = valid[start:start + _ITER_CHUNK]
+            if mask.all():
+                yield from values
+            else:
+                for value, present in zip(values, mask.tolist()):
+                    yield value if present else None
 
     def __repr__(self) -> str:
         return f"Column({self.name!r}, dtype={self.dtype}, len={len(self)}, missing={self.n_missing})"

@@ -13,6 +13,10 @@ Design notes:
 * leaves form a doubly linked list, so range scans run in both key orders
   (:meth:`BTree.range_scan` forward, :meth:`BTree.range_scan_desc`
   backward — the walk behind ``ORDER BY col DESC LIMIT k``);
+* :meth:`BTree.bulk_load` builds a tree from an already-sorted key run in
+  one pass — leaves packed to :data:`BULK_FILL` of the order and linked,
+  internal levels built bottom-up — instead of one descent (and split)
+  per key; ``CREATE INDEX`` backfills through it;
 * deleting the last rowid of a key removes the key from its leaf without
   rebalancing (lazy deletion).  Internal separators may then reference
   absent keys, which never affects search correctness — separators only
@@ -23,9 +27,15 @@ Design notes:
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from itertools import islice
 
 from repro.minidb.invariants import holds_write_lock
 from typing import Iterator
+
+
+#: share of ``order`` a bulk-loaded node is filled to: the slack lets later
+#: inserts land without splitting every freshly packed leaf
+BULK_FILL = 0.75
 
 
 class _Leaf:
@@ -79,6 +89,52 @@ class BTree:
             new_root.keys = [separator]
             new_root.children = [self.root, new_node]
             self.root = new_root
+
+    @holds_write_lock
+    def bulk_load(self, keys: list, values: list) -> None:
+        """Fill an empty tree from strictly ascending ``keys`` and their
+        non-empty rowid sets ``values`` (taken over, not copied).
+
+        Leaves are packed to :data:`BULK_FILL` of the order, spread evenly
+        so no leaf ends up tiny, and linked both ways; each internal level
+        is then built over the one below, separators being the smallest
+        key under each child past the first.
+        """
+        if self._n_keys:
+            raise ValueError("bulk_load needs an empty tree")
+        if len(keys) != len(values):
+            raise ValueError(
+                f"bulk_load: {len(keys)} keys for {len(values)} rowid sets")
+        if any(a >= b for a, b in zip(keys, islice(keys, 1, None))):
+            raise ValueError("bulk_load keys must be strictly ascending")
+        if not keys:
+            return
+        fill = max(2, int(self.order * BULK_FILL))
+        level: list = []
+        previous = None
+        for lo, hi in _even_slices(len(keys), fill):
+            leaf = _Leaf()
+            leaf.keys = keys[lo:hi]
+            leaf.values = values[lo:hi]
+            leaf.prev = previous
+            if previous is not None:
+                previous.next = leaf
+            level.append(leaf)
+            previous = leaf
+        lows = [leaf.keys[0] for leaf in level]
+        while len(level) > 1:
+            parents: list = []
+            parent_lows = []
+            for lo, hi in _even_slices(len(level), fill):
+                node = _Internal()
+                node.children = level[lo:hi]
+                node.keys = lows[lo + 1:hi]
+                parents.append(node)
+                parent_lows.append(lows[lo])
+            level, lows = parents, parent_lows
+        self.root = level[0]
+        self._n_keys = len(keys)
+        self._n_entries = sum(map(len, values))
 
     @holds_write_lock
     def remove(self, key, rowid: int) -> bool:
@@ -306,3 +362,11 @@ class BTree:
         node.keys = node.keys[:mid]
         node.children = node.children[:mid + 1]
         return separator, sibling
+
+
+def _even_slices(n: int, fill: int) -> Iterator[tuple]:
+    """``(lo, hi)`` bounds cutting ``n`` items into ``ceil(n / fill)``
+    nodes whose sizes differ by at most one."""
+    nodes = -(-n // fill)
+    for i in range(nodes):
+        yield i * n // nodes, (i + 1) * n // nodes

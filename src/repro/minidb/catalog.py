@@ -13,6 +13,10 @@ NONE = "none"
 
 AFFINITIES = (INTEGER, REAL, TEXT, NONE)
 
+#: the Python type each affinity stores unchanged — a value of exactly this
+#: type is already what coercion would produce (NONE has no such type)
+STORED_TYPES: dict[str, type] = {INTEGER: int, REAL: float, TEXT: str}
+
 
 def affinity_of(type_name: str) -> str:
     """Derive a type affinity from a declared column type (SQLite rules).
@@ -87,6 +91,7 @@ class TableSchema:
 
     def __post_init__(self) -> None:
         self._positions = {c.name: i for i, c in enumerate(self.columns)}
+        self._refresh_stored_types()
         if len(self._positions) != len(self.columns):
             raise CatalogError(f"duplicate column names in table {self.name!r}")
         if self.partition is not None and not self.has_column(
@@ -124,6 +129,13 @@ class TableSchema:
             )
         self._positions[coldef.name] = len(self.columns)
         self.columns.append(coldef)
+        self._refresh_stored_types()
+
+    def _refresh_stored_types(self) -> None:
+        # per-position type that Table.insert stores without coercing
+        self.stored_types: tuple = tuple(
+            STORED_TYPES.get(c.affinity) for c in self.columns
+        )
 
     def to_dict(self) -> dict:
         """JSON-serializable form for the durable catalog page."""

@@ -22,6 +22,8 @@ Both index kinds cover one **or more** columns:
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from repro.errors import IntegrityError, SerializationError
@@ -41,6 +43,18 @@ def normalize_key(value):
     if isinstance(value, (int, float)):
         return float(value)
     return value
+
+
+def _pick_values(items, positions: tuple) -> tuple[list, list]:
+    """Split ``(rowid, row)`` pairs into a rowid list and a list of the
+    indexed values: scalars for one position, tuples for several."""
+    pick = itemgetter(*positions)
+    rowids: list = []
+    picked: list = []
+    for rowid, row in items:
+        rowids.append(rowid)
+        picked.append(pick(row))
+    return rowids, picked
 
 
 def _as_columns(columns) -> tuple:
@@ -220,6 +234,29 @@ class _IndexBase:
                 f"by a concurrent transaction"
             )
 
+    @holds_write_lock
+    def _check_unique_runs(self, runs: list) -> None:
+        """UNIQUE enforcement for a bulk build, in heap order.
+
+        ``runs`` holds one list per key filed under two or more rows:
+        ``(position, rowid, values)`` in heap order, ``position`` being
+        the row's place in the heap walk.  Every row after a run's first
+        is checked against the rows before it, all runs merged by
+        position — the exact sequence of :meth:`_check_unique` calls
+        row-at-a-time inserts would make, so the first violation raised
+        (``IntegrityError``, or ``SerializationError`` for a key in
+        flux) is the same.
+        """
+        pending = sorted(
+            (run[j][0], i, j) for i, run in enumerate(runs)
+            for j in range(1, len(run))
+        )
+        for _position, i, j in pending:
+            run = runs[i]
+            _, rowid, values = run[j]
+            held = {other for _, other, _ in run[:j]}
+            self._check_unique(held, rowid, values, self._key(values))
+
     # -- row-level maintenance (called by Table on every mutation) ----------
 
     @holds_write_lock
@@ -287,6 +324,30 @@ class HashIndex(_IndexBase):
         # re-fetch: the targeted GC inside _check_unique may have emptied
         # and dropped the bucket we were holding
         self._buckets.setdefault(key, set()).add(rowid)
+
+    @holds_write_lock
+    def build(self, items) -> None:
+        """Fill the empty index from ``(rowid, row)`` pairs in heap order
+        (the ``CREATE INDEX`` backfill): one pass over the buckets, with
+        UNIQUE checked as each duplicate arrives."""
+        if self._buckets:
+            raise ValueError(f"index {self.name!r} is not empty")
+        buckets = self._buckets
+        unique = self.unique
+        rowids, picked = _pick_values(items, self.positions)
+        # zip(picked) wraps each single-column value in a 1-tuple lazily
+        value_tuples = zip(picked) if self.n_columns == 1 else picked
+        for rowid, values in zip(rowids, value_tuples):
+            if None in values:
+                continue
+            key = tuple(map(normalize_key, values))
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = {rowid}
+                continue
+            if unique:
+                self._check_unique(bucket, rowid, values, key)
+            bucket.add(rowid)
 
     @holds_write_lock
     def remove_values(self, values: tuple, rowid: int) -> None:
@@ -372,6 +433,51 @@ class BTreeIndex(_IndexBase):
         self._tree.insert(key, rowid)
         if has_null:
             self.null_rowids.add(rowid)
+
+    @holds_write_lock
+    def build(self, items) -> None:
+        """Fill the empty index from ``(rowid, row)`` pairs in heap order
+        (the ``CREATE INDEX`` backfill).
+
+        Keys are computed once, sorted (stably, so each key's first row
+        in heap order names it, as with row-at-a-time inserts), cut into
+        runs of equal keys and handed to :meth:`BTree.bulk_load`.  Runs of
+        two or more rows under a UNIQUE index go through
+        :meth:`_check_unique_runs` first.
+        """
+        if len(self._tree):
+            raise ValueError(f"index {self.name!r} is not empty")
+        rowids, picked = _pick_values(items, self.positions)
+        composite = self.n_columns > 1
+        if composite:
+            keys = [tuple(map(sort_key, values)) for values in picked]
+            self.null_rowids.update(
+                rowid for rowid, values in zip(rowids, picked)
+                if None in values)
+        else:
+            keys = list(map(sort_key, picked))
+            self.null_rowids.update(
+                rowid for rowid, value in zip(rowids, picked) if value is None)
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        # groupby names each run by its first (heap-first) row's key
+        run_keys: list = []
+        run_sets: list[set] = []
+        for key, run in groupby(order, keys.__getitem__):
+            run_keys.append(key)
+            run_sets.append(set(map(rowids.__getitem__, run)))
+        if self.unique:
+            duplicates = []
+            for _, run in groupby(order, keys.__getitem__):
+                entries = [
+                    (p, rowids[p], picked[p] if composite else (picked[p],))
+                    for p in run
+                ]
+                # NULL keys never collide under UNIQUE
+                if len(entries) > 1 and None not in entries[0][2]:
+                    duplicates.append(entries)
+            self._check_unique_runs(duplicates)
+        del keys, order, rowids  # transients: free before leaves are cut
+        self._tree.bulk_load(run_keys, run_sets)
 
     @holds_write_lock
     def remove_values(self, values: tuple, rowid: int) -> None:

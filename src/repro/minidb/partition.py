@@ -481,6 +481,27 @@ class PartitionedIndex(_IndexBase):
                                                   check_unique=False)
 
     @holds_write_lock
+    def build(self, items) -> None:
+        """Bulk backfill: route ``(rowid, row)`` pairs (heap order) to their
+        partitions, then bulk-build each sub-index.  UNIQUE is checked
+        here, over every partition, before any sub-index is filled."""
+        parts: list[list] = [[] for _ in self.subs]
+        route = self._route
+        runs: dict = {}  # UNIQUE only: key -> [(position, rowid, values)]
+        for position, (rowid, row) in enumerate(items):
+            parts[route(row)].append((rowid, row))
+            if self.unique:
+                values = self.key_values(row)
+                if None not in values:
+                    runs.setdefault(self._key(values), []).append(
+                        (position, rowid, values))
+        if runs:
+            self._check_unique_runs(
+                [run for run in runs.values() if len(run) > 1])
+        for sub, part in zip(self.subs, parts):
+            sub.build(part)
+
+    @holds_write_lock
     def remove_row(self, row: Sequence, rowid: int) -> None:
         self.remove_values(self.key_values(row), rowid)
 

@@ -248,7 +248,14 @@ class Table:
             if rowid in self.rows:
                 raise IntegrityError(f"duplicate rowid {rowid} in {self.name!r}")
             self.next_rowid = max(self.next_rowid, rowid + 1)
-        row = [self.coerce(i, v) for i, v in enumerate(values)]
+        # typed fast path: a value already of its column's storage type is
+        # exactly what coerce would return, so only the rest pay for it
+        coerce = self.coerce
+        row = [
+            value if type(value) is stored else coerce(position, value)
+            for position, (value, stored) in enumerate(
+                zip(values, self.schema.stored_types))
+        ]
         txn, versioned = self._write_context(txn)
         if versioned:
             chain = self.versions.get(rowid)
@@ -673,20 +680,20 @@ class Table:
             index_cls = {"btree": BTreeIndex, "hash": HashIndex}[kind]
             index = index_cls(name, columns, positions, unique=unique)
         index.owner = self
-        for rowid, row in self.rows.items():
-            index.add_row(row, rowid)
+        # live rows in one sort-based (B+tree) or one-pass (hash) build
+        index.build(self.rows.items())
         # version-chain rows still visible to some snapshot get their old
         # keys indexed too, so snapshot probes keep finding them.  These
         # entries are *dead or superseded* state: a dead version may well
         # hold a key some live row legitimately owns now, so backfilling
-        # them must not run UNIQUE enforcement (the live-row loop above
+        # them must not run UNIQUE enforcement (the live-row build above
         # already proved uniqueness of the current state).
         for rowid, chain in self.versions.items():
             for version in chain:
                 # equality, not identity: a paged heap decodes a fresh list
                 # per read, so the chain head is never the same object as
                 # the stored row — but equal values mean equal index keys,
-                # already covered by the live-row loop above
+                # already covered by the live-row build above
                 if version.values != self.rows.get(rowid):
                     index.add_row(version.values, rowid, check_unique=False)
         self.indexes[name] = index

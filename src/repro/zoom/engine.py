@@ -52,11 +52,11 @@ class ZoomEngine:
         backend.ensure_index(x_col)
         if y_col is not None:
             backend.ensure_index(y_col)
-        stats = backend.numeric_stats(x_col)
-        if stats.count == 0:
+        count, low, high = backend.numeric_extent(x_col)
+        if count == 0:
             raise NavigationError(f"column {x_col!r} has no numeric values")
-        span = (stats.max - stats.min) or 1.0
-        self.bounds = Viewport(stats.min, stats.max + span * 1e-9)
+        span = (high - low) or 1.0
+        self.bounds = Viewport(low, high + span * 1e-9)
         self.grid = TileGrid(self.bounds.x0, self.bounds.x1, base_tiles)
         self.cache = TileCache(cache_capacity)
         self.queries_run = 0

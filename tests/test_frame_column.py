@@ -179,3 +179,52 @@ def test_property_take_matches_python_indexing(values, data):
     col = Column("a", values)
     indices = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=20))
     assert col.take(indices).to_list() == [values[i] for i in indices]
+
+
+class TestIteration:
+    """Chunked iteration yields exactly the per-cell ``_to_python`` values."""
+
+    SAMPLES = {
+        dtypes.INT64: [3, -7, 0, 2**40],
+        dtypes.FLOAT64: [1.5, -0.25, 3.0, 1e300],
+        dtypes.BOOL: [True, False, True],
+        dtypes.STRING: ["a", "bb", ""],
+        dtypes.MIXED: [1, "12k", 2.5, np.int64(4), np.float64(0.5)],
+    }
+
+    @staticmethod
+    def _expected(col):
+        from repro.frame.column import _to_python
+
+        return [
+            _to_python(col._data[i], col.dtype) if col._valid[i] else None
+            for i in range(len(col))
+        ]
+
+    @staticmethod
+    def _assert_same(got, expected):
+        assert len(got) == len(expected)
+        for value, want in zip(got, expected):
+            assert type(value) is type(want)
+            assert value == want
+
+    @pytest.mark.parametrize("dtype", dtypes.ALL_DTYPES)
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 9000])
+    def test_values_and_types_across_chunk_boundaries(self, dtype, n):
+        sample = self.SAMPLES[dtype]
+        # a missing cell every 5th row, including rows 4095 and 4096 ± 1
+        values = [None if i % 5 == 0 else sample[i % len(sample)]
+                  for i in range(n)]
+        col = Column("a", values, dtype=dtype)
+        self._assert_same(list(col), self._expected(col))
+        self._assert_same(col.to_list(), self._expected(col))
+
+    @pytest.mark.parametrize("dtype", dtypes.ALL_DTYPES)
+    @pytest.mark.parametrize("n", [4095, 4096, 4097])
+    def test_all_missing_and_none_missing(self, dtype, n):
+        empty = Column("a", [None] * n, dtype=dtype)
+        assert list(empty) == [None] * n
+        sample = self.SAMPLES[dtype]
+        full = Column("a", [sample[i % len(sample)] for i in range(n)],
+                      dtype=dtype)
+        self._assert_same(list(full), self._expected(full))

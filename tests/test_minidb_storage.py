@@ -153,3 +153,77 @@ class TestAddColumn:
         assert table.get(rowid) == ["a", 1, 1.0, None]
         new = table.insert(["b", 2, 2.0, "x"])
         assert table.get(new)[3] == "x"
+
+
+class TestTypedInsertFastPath:
+    """Values already of a column's storage type skip coercion; everything
+    else must still be stored exactly as ``Table.coerce`` would."""
+
+    @staticmethod
+    def _assert_stored_as_coerced(table, values):
+        rowid = table.insert(list(values))
+        stored = table.rows[rowid]
+        expected = [table.coerce(i, v) for i, v in enumerate(values)]
+        assert stored == expected
+        assert [type(v) for v in stored] == [type(v) for v in expected]
+
+    def test_odd_types_go_through_coerce(self):
+        import numpy as np
+
+        class Label(str):
+            pass
+
+        table = make_table()  # name TEXT, age INT, score REAL
+        for values in [
+            ["ada", 36, 1.5],                            # all exact: fast path
+            [Label("x"), Label("7"), Label("2.5")],      # str subclasses
+            [np.str_("y"), np.int64(7), np.float64(2.5)],
+            [True, False, True],                         # bools are not ints
+            [7, 2.0, 3],                                 # wrong exact types
+            [1.5, "8", "9"],
+            [None, None, None],
+            [np.int64(3), np.float64(4.0), np.int32(5)],
+        ]:
+            self._assert_stored_as_coerced(table, values)
+
+    def test_none_affinity_column(self):
+        import numpy as np
+
+        from repro.minidb.storage import Table
+
+        table = Table(TableSchema("t", [ColumnDef.make("blob", "BLOB")]))
+        for value in [1, 2.5, "x", True, np.int64(3), None]:
+            self._assert_stored_as_coerced(table, [value])
+
+    def test_cached_types_follow_add_column(self):
+        from repro.minidb.storage import Table
+
+        table = make_table()
+        assert table.schema.stored_types == (str, int, float)
+        table.insert(["ada", 36, 1.5])
+        table.add_column(ColumnDef.make("note", "TEXT"))
+        table.add_column(ColumnDef.make("rank", "INTEGER"))
+        assert table.schema.stored_types == (str, int, float, str, int)
+        # an int into the new TEXT column must become text, a digit string
+        # into the new INTEGER column an int
+        self._assert_stored_as_coerced(table, ["bo", 40, 2.0, 5, "6"])
+        assert table.rows[2][3:] == ["5", 6]
+        # a schema rebuilt from its catalog form caches the same types
+        again = Table(TableSchema.from_dict(table.schema.to_dict()))
+        assert again.schema.stored_types == table.schema.stored_types
+
+
+def test_alter_add_column_then_insert_coerces_new_column():
+    from repro.minidb.database import Database
+
+    db = Database()
+    db.execute("CREATE TABLE t (a INT)")
+    db.insert_rows("t", [(1,)])
+    db.execute("ALTER TABLE t ADD COLUMN b TEXT")
+    db.execute("ALTER TABLE t ADD COLUMN c REAL")
+    db.insert_rows("t", [(2, 3, 4)])
+    db.execute("INSERT INTO t VALUES (5, 6, '7')")
+    rows = db.execute("SELECT a, b, c FROM t ORDER BY a").rows
+    assert [list(r) for r in rows] == [[1, None, None], [2, "3", 4.0],
+                                       [5, "6", 7.0]]
+    assert [type(v) for v in rows[1]] == [int, str, float]

@@ -222,6 +222,22 @@ class TestZoomEngine:
         with pytest.raises(NavigationError):
             ZoomEngine(backend, "b")
 
+    def test_rejects_all_text_column(self):
+        frame = DataFrame.from_dict({"a": ["x", "y"], "b": [1.0, 2.0]})
+        backend = SQLBackend.from_frame(frame)
+        with pytest.raises(NavigationError, match="no numeric values"):
+            ZoomEngine(backend, "a")
+
+    def test_bounds_equal_numeric_stats_extent(self, engine):
+        """income holds a NULL and a text mismatch ('12k'): both are
+        outside the extent, exactly as numeric_stats leaves them out."""
+        stats = engine.backend.numeric_stats("income")
+        assert engine.backend.numeric_extent("income") == (
+            stats.count, stats.min, stats.max)
+        assert engine.bounds.x0 == stats.min == 48000.0
+        span = stats.max - stats.min
+        assert engine.bounds.x1 == stats.max + span * 1e-9
+
 
 class TestDrillDownApp:
     @pytest.fixture
